@@ -215,15 +215,15 @@ fn print_gemm_scaling() {
         );
     }
 
-    // Small-batch LSTM floor (PR 7): batches under the pool cutover take
-    // the lean single-row path — no pooling, no ping-pong allocations —
-    // so the engine must never lose to the naive per-row classify it
-    // replaced (PR 4 shipped 0.88-0.99x here).
+    // Small-batch LSTM floor: small batches run inline through the same
+    // batched path as large ones, and the engine must never lose to the
+    // naive per-row classify it replaced (an earlier engine measured
+    // 0.88-0.99x here).
     for r in rows.iter().filter(|r| r.model == "lstm" && r.batch <= 8) {
         let s = r.speedup();
         assert!(
             s >= 1.0,
-            "lean LSTM path lost to naive at batch {} with {} workers: {s:.2}x",
+            "LSTM engine lost to naive at batch {} with {} workers: {s:.2}x",
             r.batch,
             r.workers
         );
@@ -282,14 +282,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| engine.classify_mlp(MLP_ID, 1, &mlp, &data, 64, MLP_IN));
     });
 
-    // Small-batch LSTM: the lean path (engine, batch 1) vs the naive
-    // per-row classify it must never lose to.
+    // Small-batch LSTM: the engine at batch 1 vs the naive per-row
+    // classify it must never lose to.
     let lstm = LstmClassifier::new(LSTM_FEAT, LSTM_HIDDEN, 1, 4, &mut rng);
     let lstm_data = features(LSTM_COLS, 9);
     group.bench_function("naive_lstm_b1", |b| {
         b.iter(|| naive_lstm(&lstm, &lstm_data, 1));
     });
-    group.bench_function("lean_lstm_b1", |b| {
+    group.bench_function("engine_lstm_b1", |b| {
         b.iter(|| engine.classify_lstm(LSTM_ID, 1, &lstm, &lstm_data, 1, LSTM_COLS, LSTM_STEPS));
     });
     group.finish();

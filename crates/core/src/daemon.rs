@@ -196,6 +196,11 @@ pub struct LakeDaemon {
     /// allocations under a hard byte budget with clock eviction, pinned
     /// for the duration of every call that uses them.
     store: ModelStore<LoadedModel>,
+    /// Device weight buffers of each model's current version, one per
+    /// pool device in pool order. An upload frees the buffers it replaces
+    /// and an unload frees them, so device memory tracks the resident
+    /// models instead of every version ever installed.
+    weights: Mutex<HashMap<u64, Vec<DevicePtr>>>,
     next_model_id: AtomicU64,
     sched: Mutex<SchedState>,
     cpu: CpuCostModel,
@@ -308,6 +313,7 @@ impl LakeDaemon {
             pool,
             shm,
             store,
+            weights: Mutex::new(HashMap::new()),
             next_model_id: AtomicU64::new(1),
             sched,
             cpu: CpuCostModel::default(),
@@ -618,22 +624,47 @@ impl LakeDaemon {
         })
     }
 
-    /// Uploads `weight_bytes` of device weights once per pool device —
-    /// the recurring inference calls then only move features/results, the
-    /// way the paper keeps models "in memory ... critical to performance"
-    /// (§5.1). Replication is what lets the scheduler place a batch on
-    /// any device. Returns the primary device's weight pointer.
-    fn upload_weights(&self, weight_bytes: usize) -> Result<DevicePtr, Status> {
-        let mut primary_weights = DevicePtr(0);
+    /// Uploads `weight_bytes` of device weights for model `id` once per
+    /// pool device — the recurring inference calls then only move
+    /// features/results, the way the paper keeps models "in memory ...
+    /// critical to performance" (§5.1). Replication is what lets the
+    /// scheduler place a batch on any device. Once every device holds the
+    /// new buffers, the ones they replace (the previous version's) are
+    /// freed; a failed upload frees what it allocated. Device kernels
+    /// read weights from the model store, never from these buffers, so
+    /// no in-flight launch depends on the freed ones. Returns the primary
+    /// device's weight pointer.
+    fn upload_weights(&self, id: u64, weight_bytes: usize) -> Result<DevicePtr, Status> {
+        let bytes = weight_bytes.max(4);
+        let mut ptrs = Vec::with_capacity(self.pool.len());
         for idx in 0..self.pool.len() {
             let dev = self.pool.device(idx);
-            let weights = dev.mem_alloc(weight_bytes.max(4)).map_err(gpu_status)?;
-            dev.memcpy_htod(weights, &vec![0u8; weight_bytes.max(4)]).map_err(gpu_status)?;
-            if idx == 0 {
-                primary_weights = weights;
+            let uploaded = dev.mem_alloc(bytes).and_then(|ptr| {
+                ptrs.push(ptr);
+                dev.memcpy_htod(ptr, &vec![0u8; bytes])
+            });
+            if let Err(e) = uploaded {
+                self.free_weights(&ptrs);
+                return Err(gpu_status(e));
             }
         }
-        Ok(primary_weights)
+        let primary = ptrs.first().copied().unwrap_or(DevicePtr(0));
+        let replaced = self.weights.lock().insert(id, ptrs);
+        if let Some(old) = replaced {
+            self.free_weights(&old);
+        }
+        Ok(primary)
+    }
+
+    /// Frees one upload's buffers, `ptrs[idx]` on pool device `idx`.
+    fn free_weights(&self, ptrs: &[DevicePtr]) {
+        for (idx, &ptr) in ptrs.iter().enumerate() {
+            // The only error is a stale pointer: a client may already have
+            // freed the primary buffer through `cuMemFree` (the load
+            // response hands its address out). Device addresses are never
+            // reused, so there is nothing left to release.
+            let _ = self.pool.device(idx).mem_free(ptr);
+        }
     }
 
     fn ml_load_model(&self, payload: &[u8]) -> Result<Bytes, Status> {
@@ -645,7 +676,7 @@ impl LakeDaemon {
         // A fresh load is version 1; trains and hot-swaps move it forward.
         self.store.install(id, 1, blob).map_err(store_status)?;
 
-        let primary_weights = self.upload_weights(weight_bytes)?;
+        let primary_weights = self.upload_weights(id, weight_bytes)?;
         self.register_model_kernel(id, kernel_name, flops_per_item);
 
         let mut e = Encoder::new();
@@ -707,6 +738,10 @@ impl LakeDaemon {
         // Drop the packed weight cache with the model; a future model
         // reusing the id must repack.
         self.engine.invalidate(id);
+        let uploaded = self.weights.lock().remove(&id);
+        if let Some(ptrs) = uploaded {
+            self.free_weights(&ptrs);
+        }
         Ok(Bytes::new())
     }
 
@@ -1145,7 +1180,7 @@ impl LakeDaemon {
         self.store.install(id, version, blob).map_err(store_status)?;
         self.next_model_id.fetch_max(id + 1, Ordering::Relaxed);
         self.engine.invalidate(id);
-        self.upload_weights(weight_bytes)?;
+        self.upload_weights(id, weight_bytes)?;
         self.register_model_kernel(id, kernel_name, flops_per_item);
         Ok(())
     }
@@ -1178,7 +1213,7 @@ impl LakeDaemon {
         drop(sched);
 
         self.engine.invalidate(id);
-        self.upload_weights(weight_bytes)?;
+        self.upload_weights(id, weight_bytes)?;
         self.register_model_kernel(id, kernel_name, flops_per_item);
 
         let mut e = Encoder::new();
@@ -1330,7 +1365,7 @@ impl LakeDaemon {
 
         let new_id = self.next_model_id.fetch_add(1, Ordering::Relaxed);
         self.store.install(new_id, 1, &qblob).map_err(store_status)?;
-        self.upload_weights(weight_bytes)?;
+        self.upload_weights(new_id, weight_bytes)?;
         self.register_model_kernel(new_id, kernel_name, flops_per_item);
 
         let mut e = Encoder::new();

@@ -244,6 +244,9 @@ struct State {
     next_stream: u32,
     /// Recent busy intervals for NVML-style utilization sampling.
     busy_log: Vec<(Instant, Instant)>,
+    /// Earliest interval end in `busy_log` (`u64::MAX` when empty), so a
+    /// trim that could remove nothing is skipped without a scan.
+    busy_log_min_end: u64,
     exec_mode: ExecMode,
     launches: u64,
     bytes_h2d: u64,
@@ -289,6 +292,7 @@ impl GpuDevice {
                 streams: HashMap::new(),
                 next_stream: 1,
                 busy_log: Vec::new(),
+                busy_log_min_end: u64::MAX,
                 exec_mode: ExecMode::Full,
                 launches: 0,
                 bytes_h2d: 0,
@@ -406,11 +410,15 @@ impl GpuDevice {
             st.engine_free = end;
         }
         st.busy_log.push((start, end));
+        st.busy_log_min_end = st.busy_log_min_end.min(end.as_nanos());
         // Trim the log so long simulations do not grow unboundedly; keep
-        // a generous 4s window (policies sample over milliseconds).
-        if st.busy_log.len() > 4096 {
-            let horizon = end.as_nanos().saturating_sub(4_000_000_000);
+        // a generous 4s window (policies sample over milliseconds). The
+        // scan runs only when some interval has ended before the horizon.
+        let horizon = end.as_nanos().saturating_sub(4_000_000_000);
+        if st.busy_log.len() > 4096 && st.busy_log_min_end < horizon {
             st.busy_log.retain(|&(_, e)| e.as_nanos() >= horizon);
+            st.busy_log_min_end =
+                st.busy_log.iter().map(|&(_, e)| e.as_nanos()).min().unwrap_or(u64::MAX);
         }
         (start, end)
     }
@@ -773,6 +781,24 @@ mod tests {
         gpu.clock().advance(Duration::from_millis(100));
         let util = gpu.utilization_over(Duration::from_millis(1));
         assert!(util < 0.05, "device should look idle, got {util}");
+    }
+
+    /// The busy log keeps every interval inside the 4 s horizon however
+    /// long it grows, and drops the ones that end before it as soon as a
+    /// later interval moves the horizon past them.
+    #[test]
+    fn busy_log_trims_only_intervals_older_than_the_horizon() {
+        let gpu = device();
+        gpu.register_kernel("tick", 1.0, |_, _| Ok(()));
+        for _ in 0..5000 {
+            gpu.launch_kernel("tick", 1, &[]).unwrap();
+        }
+        assert_eq!(gpu.state.lock().busy_log.len(), 5000, "nothing is older than 4 s yet");
+        gpu.clock().advance(Duration::from_secs(5));
+        gpu.launch_kernel("tick", 1, &[]).unwrap();
+        let st = gpu.state.lock();
+        assert_eq!(st.busy_log.len(), 1, "every earlier interval ended before the horizon");
+        assert_eq!(st.busy_log_min_end, st.busy_log[0].1.as_nanos());
     }
 
     #[test]

@@ -29,7 +29,15 @@
 //!   formulas replicate [`Activation`]'s exactly.
 //! * [`PackedLstm`] batches the gate GEMMs across the batch dimension (all
 //!   rows of a timestep stream the packed `Wx`/`Wh` once) while keeping the
-//!   per-row accumulation order of `LstmCell::step`.
+//!   per-row accumulation order of `LstmCell::step`. Under AVX2 the batch
+//!   runs in blocks of 4 rows × 16 columns: 8 ymm accumulators, and each
+//!   `k` loads two packed-weight vectors that all 4 rows share. A block
+//!   takes this path only when every element of its 4-row `k`-slice
+//!   passes the compaction scan's `!= 0.0` test (`-0.0` fails it), so no
+//!   skip can apply inside it. Any other block, the row and column tails,
+//!   and the scalar and SSE kernels use the per-row compacted
+//!   `accumulate`. Either way each gate element sees bias, then
+//!   ascending-k `x` products, then ascending-k `h` products.
 //!
 //! Single-thread speed comes from a [`Kernel`] dispatch layer: runtime-
 //! detected AVX2 / SSE4.1 microkernels (register-blocked, 4 vector
@@ -491,6 +499,105 @@ unsafe fn accumulate_sse(
     if j < jn {
         accumulate_scalar(idx, val, pb, k0, j0 + j, &mut out[j..]);
     }
+}
+
+/// [`accumulate`] for a block of 4 batch rows: `out` holds the 4 output
+/// rows back to back, `pb.n()` floats each, and row `r` accumulates
+/// `a[r] · B[k0..]` over all `pb.n()` columns.
+///
+/// Under AVX2, when every element of the 4-row slice passes the
+/// compaction scan's `!= 0.0` test (`-0.0` fails it), the 16-column
+/// prefix runs through [`accumulate_rows4_avx2`]. No element would have
+/// been skipped, so each output element sees the same ascending-k
+/// multiply-then-add sequence as in [`accumulate`], and the same bits.
+/// Every other block, and the column tail, goes row by row through
+/// [`accumulate`].
+fn accumulate_rows4(kernel: Kernel, a: [&[f32]; 4], pb: &PackedMatrix, k0: usize, out: &mut [f32]) {
+    let n = pb.n;
+    let done = match kernel {
+        // SAFETY: every public dispatch entry clamps its kernel (see
+        // `accumulate`), so AVX2 is present when it is selected here.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if a.iter().all(|row| row.iter().all(|&v| v != 0.0)) => unsafe {
+            accumulate_rows4_avx2(a, pb, k0, out)
+        },
+        _ => 0,
+    };
+    if done < n {
+        for (a_row, out_row) in a.into_iter().zip(out.chunks_exact_mut(n)) {
+            accumulate(kernel, a_row, pb, k0, done, &mut out_row[done..]);
+        }
+    }
+}
+
+/// AVX2 4-row block: 4 rows × 16 columns in 8 ymm accumulators. Each `k`
+/// loads two packed-weight vectors once for all 4 rows, where
+/// [`accumulate_avx2`] reloads them for every row, and the 8 independent
+/// add chains hide the add latency that 4 chains expose. Every `a[r][i]`
+/// is used, in ascending `i`, with a separate multiply then add (no FMA).
+/// Returns how many leading columns were done: `pb.n()` rounded down to a
+/// multiple of 16.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Shapes are checked here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn accumulate_rows4_avx2(
+    a: [&[f32]; 4],
+    pb: &PackedMatrix,
+    k0: usize,
+    out: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    let (n, stride) = (pb.n, pb.stride);
+    let kw = a[0].len();
+    assert!(a.iter().all(|row| row.len() == kw), "4-row block rows differ in length");
+    assert!(k0 + kw <= pb.k, "4-row block k range out of bounds");
+    assert_eq!(out.len(), 4 * n, "4-row block output size mismatch");
+    let [a0, a1, a2, a3] = a.map(<[f32]>::as_ptr);
+    let op = out.as_mut_ptr();
+    // As in `accumulate_avx2`: j + 16 ≤ n ≤ stride keeps every load of
+    // packed row k0 + i inside that row.
+    let bbase = pb.data.as_ptr().add(pb.base + k0 * stride);
+    let mut j = 0;
+    while j + 16 <= n {
+        let (o0, o1, o2, o3) = (op.add(j), op.add(n + j), op.add(2 * n + j), op.add(3 * n + j));
+        let mut c00 = _mm256_loadu_ps(o0);
+        let mut c01 = _mm256_loadu_ps(o0.add(8));
+        let mut c10 = _mm256_loadu_ps(o1);
+        let mut c11 = _mm256_loadu_ps(o1.add(8));
+        let mut c20 = _mm256_loadu_ps(o2);
+        let mut c21 = _mm256_loadu_ps(o2.add(8));
+        let mut c30 = _mm256_loadu_ps(o3);
+        let mut c31 = _mm256_loadu_ps(o3.add(8));
+        for i in 0..kw {
+            let bp = bbase.add(i * stride + j);
+            let (b0, b1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8)));
+            let v0 = _mm256_set1_ps(*a0.add(i));
+            c00 = _mm256_add_ps(c00, _mm256_mul_ps(v0, b0));
+            c01 = _mm256_add_ps(c01, _mm256_mul_ps(v0, b1));
+            let v1 = _mm256_set1_ps(*a1.add(i));
+            c10 = _mm256_add_ps(c10, _mm256_mul_ps(v1, b0));
+            c11 = _mm256_add_ps(c11, _mm256_mul_ps(v1, b1));
+            let v2 = _mm256_set1_ps(*a2.add(i));
+            c20 = _mm256_add_ps(c20, _mm256_mul_ps(v2, b0));
+            c21 = _mm256_add_ps(c21, _mm256_mul_ps(v2, b1));
+            let v3 = _mm256_set1_ps(*a3.add(i));
+            c30 = _mm256_add_ps(c30, _mm256_mul_ps(v3, b0));
+            c31 = _mm256_add_ps(c31, _mm256_mul_ps(v3, b1));
+        }
+        _mm256_storeu_ps(o0, c00);
+        _mm256_storeu_ps(o0.add(8), c01);
+        _mm256_storeu_ps(o1, c10);
+        _mm256_storeu_ps(o1.add(8), c11);
+        _mm256_storeu_ps(o2, c20);
+        _mm256_storeu_ps(o2.add(8), c21);
+        _mm256_storeu_ps(o3, c30);
+        _mm256_storeu_ps(o3.add(8), c31);
+        j += 16;
+    }
+    j
 }
 
 /// Reduction-dimension tile: a 256-element slice of one input row is 1 KB,
@@ -1013,19 +1120,72 @@ unsafe fn lstm_gate_epilogue_sse(z: &[f32], h: &mut [f32], c: &mut [f32]) {
     lstm_gate_epilogue_range(z, h, c, j);
 }
 
+/// Batched gate GEMM: `z[r] += a[r] · B` for every batch row `r`. `z`
+/// holds the rows' gate accumulators back to back, `pb.n()` floats each,
+/// and row `r`'s input is `a[r * a_stride..][..pb.k()]`. Each KC slice of
+/// the packed panel streams through cache once while the whole batch
+/// consumes it, 4 rows at a time through [`accumulate_rows4`]; the last
+/// `rows % 4` rows go through [`accumulate`] one by one.
+fn gate_gemm(kernel: Kernel, a: &[f32], a_stride: usize, pb: &PackedMatrix, z: &mut [f32]) {
+    let (width, zw) = (pb.k, pb.n);
+    let blocked = z.len() / (4 * zw) * 4;
+    for kc in (0..width).step_by(TILE_KC) {
+        let kw = TILE_KC.min(width - kc);
+        let a_row = |r: usize| &a[r * a_stride + kc..r * a_stride + kc + kw];
+        let mut blocks = z.chunks_exact_mut(4 * zw);
+        for (b, zb) in (&mut blocks).enumerate() {
+            let r = 4 * b;
+            accumulate_rows4(
+                kernel,
+                [a_row(r), a_row(r + 1), a_row(r + 2), a_row(r + 3)],
+                pb,
+                kc,
+                zb,
+            );
+        }
+        for (r, zr) in blocks.into_remainder().chunks_exact_mut(zw).enumerate() {
+            accumulate(kernel, a_row(blocked + r), pb, kc, 0, zr);
+        }
+    }
+}
+
 impl PackedCell {
-    /// One timestep for one row; replicates `LstmCell::step` exactly:
-    /// `z = b + x·Wx + h·Wh` with the `== 0.0` skip on `x` and `h`, gates
-    /// in `[i, f, g, o]` order, `c = f*c_prev + i*g`, `h = o*tanh(c)`.
-    fn step(&self, kernel: Kernel, x: &[f32], h: &mut [f32], c: &mut [f32], z: &mut [f32]) {
-        // Accumulators seeded with the bias, then x-products for ascending
-        // k (skipping x[k] == 0.0), then h-products — the same k-outer
-        // saxpy loops (and therefore the same per-element f32 sequence)
-        // as `LstmCell::step`, minus its per-step allocations.
-        z.copy_from_slice(&self.b);
-        accumulate(kernel, x, &self.wx, 0, 0, z);
-        accumulate(kernel, h, &self.wh, 0, 0, z);
-        lstm_gate_epilogue(kernel, z, h, c);
+    /// Runs every batch row's sequence through this cell and returns the
+    /// per-timestep outputs. `input` holds row `r`'s `steps` timesteps of
+    /// `self.input` features at `r * steps * self.input`; the result holds
+    /// its `self.hidden`-wide outputs the same way. `h` and `c` carry the
+    /// rows' states, `self.hidden` floats per row, in and out.
+    ///
+    /// Every row advances through timestep `t` before any row starts
+    /// `t + 1`. Rows never share state, and each gate element sees bias,
+    /// then ascending-k `x` products, then ascending-k `h` products — the
+    /// exact per-element order of `LstmCell::step`.
+    fn forward_batch(
+        &self,
+        kernel: Kernel,
+        input: &[f32],
+        steps: usize,
+        h: &mut [f32],
+        c: &mut [f32],
+    ) -> Vec<f32> {
+        let (width, hd, zw) = (self.input, self.hidden, 4 * self.hidden);
+        let rows = h.len() / hd;
+        assert!(input.len() == rows * steps * width && c.len() == h.len(), "lstm batch shape");
+        let mut out = vec![0.0f32; rows * steps * hd];
+        let mut z = vec![0.0f32; rows * zw];
+        for t in 0..steps {
+            for zr in z.chunks_exact_mut(zw) {
+                zr.copy_from_slice(&self.b);
+            }
+            gate_gemm(kernel, &input[t * width..], steps * width, &self.wx, &mut z);
+            gate_gemm(kernel, h, hd, &self.wh, &mut z);
+            for (r, zr) in z.chunks_exact(zw).enumerate() {
+                let (hr, cr) = (&mut h[r * hd..(r + 1) * hd], &mut c[r * hd..(r + 1) * hd]);
+                lstm_gate_epilogue(kernel, zr, hr, cr);
+                out[(r * steps + t) * hd..][..hd].copy_from_slice(hr);
+            }
+        }
+        out
     }
 }
 
@@ -1074,124 +1234,25 @@ impl PackedLstm {
         rows: Range<usize>,
         out: &mut [usize],
     ) {
-        let feat = cols / steps;
         let local = rows.len();
         let top_hidden = self.cells.last().expect("non-empty lstm").hidden;
-        // layer_input[r * steps * width ..] holds row r's per-timestep
-        // inputs for the current layer; starts as the raw features.
-        let mut layer_input: Vec<f32> = Vec::with_capacity(local * cols);
-        for i in rows {
-            layer_input.extend_from_slice(&data[i * cols..(i + 1) * cols]);
-        }
-        let mut width = feat;
-        for cell in &self.cells {
-            let hd = cell.hidden;
-            let zw = 4 * hd;
-            let mut layer_out = vec![0.0f32; local * steps * hd];
-            let mut h = vec![0.0f32; local * hd];
-            let mut c = vec![0.0f32; local * hd];
-            // One gate-accumulator row per batch row so the gate GEMM can
-            // be KC-blocked *across* the batch below.
-            let mut z = vec![0.0f32; local * zw];
-            // Batched, cache-blocked gate GEMM: every row of the batch
-            // advances through timestep t before any row starts t+1, and
-            // within the timestep each KC slice of the packed Wx/Wh panel
-            // streams through cache once while all rows consume it. Rows
-            // never share state and each z element still sees bias, then
-            // ascending-k x products, then ascending-k h products — the
-            // exact per-element order of `LstmCell::step`.
-            for t in 0..steps {
-                for r in 0..local {
-                    z[r * zw..(r + 1) * zw].copy_from_slice(&cell.b);
-                }
-                for kc in (0..width).step_by(TILE_KC) {
-                    let kw = TILE_KC.min(width - kc);
-                    for r in 0..local {
-                        let x0 = (r * steps + t) * width + kc;
-                        let x = &layer_input[x0..x0 + kw];
-                        accumulate(kernel, x, &cell.wx, kc, 0, &mut z[r * zw..(r + 1) * zw]);
-                    }
-                }
-                for kc in (0..hd).step_by(TILE_KC) {
-                    let kw = TILE_KC.min(hd - kc);
-                    for r in 0..local {
-                        let hr = &h[r * hd + kc..r * hd + kc + kw];
-                        accumulate(kernel, hr, &cell.wh, kc, 0, &mut z[r * zw..(r + 1) * zw]);
-                    }
-                }
-                for r in 0..local {
-                    let hr = &mut h[r * hd..(r + 1) * hd];
-                    let cr = &mut c[r * hd..(r + 1) * hd];
-                    lstm_gate_epilogue(kernel, &z[r * zw..(r + 1) * zw], hr, cr);
-                    layer_out[(r * steps + t) * hd..(r * steps + t) * hd + hd].copy_from_slice(hr);
-                }
-            }
-            layer_input = layer_out;
-            width = hd;
+        // Row r's per-timestep inputs to the current layer sit at
+        // r * steps * width: the raw feature rows are already laid out
+        // that way, and each layer's outputs come back the same way.
+        let features = &data[rows.start * cols..rows.end * cols];
+        let mut layer_out = Vec::new();
+        for (li, cell) in self.cells.iter().enumerate() {
+            let input = if li == 0 { features } else { &layer_out };
+            let mut h = vec![0.0f32; local * cell.hidden];
+            let mut c = vec![0.0f32; local * cell.hidden];
+            layer_out = cell.forward_batch(kernel, input, steps, &mut h, &mut c);
         }
         // Head: see `head_argmax` — identical math to the naive forward.
         let mut logits = vec![0.0f32; self.head_b.len()];
         for (r, slot) in out.iter_mut().enumerate() {
-            let last_h = &layer_input
-                [(r * steps + steps - 1) * top_hidden..(r * steps + steps) * top_hidden];
+            let last_h =
+                &layer_out[(r * steps + steps - 1) * top_hidden..(r * steps + steps) * top_hidden];
             *slot = head_argmax(&self.head_w, &self.head_b, last_h, &mut logits);
-        }
-    }
-
-    /// Small-batch path: one row at a time through *all* layers, every
-    /// scratch buffer reused across rows. The batched `classify_rows`
-    /// re-lays the batch out per layer (`layer_input` copy plus fresh
-    /// `layer_out`/`h`/`c` allocations) to stream the packed weights once
-    /// per timestep — a win that needs a few dozen rows to amortize. Below
-    /// [`DEFAULT_POOL_MIN_ROWS`] those allocations were the whole
-    /// regression: at batch ≤ 8 the packed path lost to the naive loop
-    /// (0.88–0.99×) while doing strictly less arithmetic. Rows never share
-    /// state and the per-row op order (layer → timestep → `step`) is the
-    /// same in both paths, so the outputs are bit-identical.
-    fn classify_rows_lean(
-        &self,
-        kernel: Kernel,
-        data: &[f32],
-        cols: usize,
-        steps: usize,
-        rows: Range<usize>,
-        out: &mut [usize],
-    ) {
-        let feat = cols / steps;
-        let top_hidden = self.cells.last().expect("non-empty lstm").hidden;
-        let max_hidden = self.cells.iter().map(|c| c.hidden).max().expect("non-empty lstm");
-        // Ping-pong sequence buffers sized for the widest layer; `cur`
-        // holds the current layer's per-timestep inputs for the one row in
-        // flight, exactly as `layer_input` does per batch above.
-        // Both sized for the widest layer: swaps across rows mean either
-        // buffer can end up holding the raw `feat`-wide features next.
-        let mut cur = vec![0.0f32; steps * feat.max(max_hidden)];
-        let mut next = vec![0.0f32; steps * feat.max(max_hidden)];
-        let mut h = vec![0.0f32; max_hidden];
-        let mut c = vec![0.0f32; max_hidden];
-        let mut z = vec![0.0f32; 4 * max_hidden];
-        let mut logits = vec![0.0f32; self.head_b.len()];
-        for (slot, i) in out.iter_mut().zip(rows) {
-            cur[..cols].copy_from_slice(&data[i * cols..(i + 1) * cols]);
-            let mut width = feat;
-            for cell in &self.cells {
-                let hd = cell.hidden;
-                h[..hd].fill(0.0);
-                c[..hd].fill(0.0);
-                for t in 0..steps {
-                    let (x, rest) = (&cur[t * width..], &mut next[t * hd..]);
-                    cell.step(kernel, &x[..width], &mut h[..hd], &mut c[..hd], &mut z[..4 * hd]);
-                    rest[..hd].copy_from_slice(&h[..hd]);
-                }
-                std::mem::swap(&mut cur, &mut next);
-                width = hd;
-            }
-            *slot = head_argmax(
-                &self.head_w,
-                &self.head_b,
-                &cur[(steps - 1) * top_hidden..steps * top_hidden],
-                &mut logits,
-            );
         }
     }
 
@@ -1235,13 +1296,6 @@ impl PackedLstm {
             _ => None,
         };
         match parallel {
-            // Inline batches under the pool work-size floor also skip the
-            // batched re-layout: the same threshold that says "fan-out
-            // costs more than it buys" marks where the per-layer batch
-            // allocations cost more than the weight-streaming they enable.
-            None if rows < DEFAULT_POOL_MIN_ROWS => {
-                self.classify_rows_lean(kernel, data, cols, steps, 0..rows, &mut out)
-            }
             None => self.classify_rows(kernel, data, cols, steps, 0..rows, &mut out),
             Some(pool) => {
                 let ranges = partition(rows, pool.workers());
@@ -1818,19 +1872,24 @@ mod tests {
         assert_eq!(want, packed.classify(x.data(), rows, cols, steps, Some(&pool)));
     }
 
-    /// Regression (small-batch LSTM, BENCH_PR4): batches under the pool
-    /// floor take the per-row lean path — it must stay bit-identical to
-    /// the naive loop on both sides of the `DEFAULT_POOL_MIN_ROWS`
-    /// cutover, including batch 1.
+    /// One LSTM path for every batch size: full 4-row blocks, row tails
+    /// of 1–3, and batches on both sides of the pool floor all classify
+    /// bit-identically to the naive loop under every available kernel.
     #[test]
-    fn lean_lstm_path_matches_naive_bitwise_across_the_cutover() {
+    fn packed_lstm_matches_naive_bitwise_across_row_counts() {
         let mut rng = StdRng::seed_from_u64(11);
         let m = LstmClassifier::new(5, 9, 2, 4, &mut rng);
         let (steps, feat) = (3, 5);
         let cols = steps * feat;
         let packed = PackedLstm::pack(&m);
-        for rows in [1, 2, 8, DEFAULT_POOL_MIN_ROWS - 1, DEFAULT_POOL_MIN_ROWS] {
-            let x = rand_matrix(&mut rng, rows, cols, true);
+        // Dense features let whole blocks take the 4-row kernel; sparse
+        // ones send most of them to the per-row fallback. Every row count
+        // runs both.
+        for (rows, sparse) in [1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 64]
+            .into_iter()
+            .flat_map(|rows| [(rows, false), (rows, true)])
+        {
+            let x = rand_matrix(&mut rng, rows, cols, sparse);
             let want: Vec<usize> = (0..rows)
                 .map(|r| {
                     let seq: Vec<Vec<f32>> =
@@ -1838,7 +1897,78 @@ mod tests {
                     m.classify(&seq)
                 })
                 .collect();
-            assert_eq!(want, packed.classify(x.data(), rows, cols, steps, None), "rows={rows}");
+            for kernel in [Kernel::Scalar, Kernel::Sse, Kernel::Avx2] {
+                if !kernel.available() {
+                    continue;
+                }
+                let got = packed.classify_with(x.data(), rows, cols, steps, None, kernel);
+                assert_eq!(want, got, "rows={rows} sparse={sparse} kernel={}", kernel.name());
+            }
+        }
+    }
+
+    /// The batched cell leaves every row's final `h` and `c` bit-identical
+    /// to looping `LstmCell::step`, under every available kernel. The
+    /// shapes put 4-row blocks next to row tails, and gate widths
+    /// (`4·hidden` = 12, 20, 36) next to 16-column blocks with column
+    /// tails; `x` of width 300 spans two KC slices. Exact `0.0` and `-0.0`
+    /// in `x` and in the starting `h`, and rows whose `h` stays exactly
+    /// zero while their `x` is zero, put dense and fallback blocks in one
+    /// timestep.
+    #[test]
+    fn batched_cell_state_matches_lstm_cell_step_bitwise() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for &(feat, hidden) in &[(1, 5), (7, 3), (7, 9), (300, 4), (6, 16)] {
+            let m = LstmClassifier::new(feat, hidden, 1, 2, &mut rng);
+            let cell = &m.cells()[0];
+            let packed = &PackedLstm::pack(&m).cells[0];
+            let steps = 4;
+            for rows in [1, 3, 4, 5, 8, 9] {
+                let mut x: Vec<f32> =
+                    (0..rows * steps * feat).map(|_| rng.gen_range(-2.0..2.0f32)).collect();
+                let mut h0: Vec<f32> =
+                    (0..rows * hidden).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+                let mut c0: Vec<f32> =
+                    (0..rows * hidden).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+                for r in (1..rows).step_by(3) {
+                    x[r * steps * feat] = 0.0;
+                    h0[r * hidden] = -0.0;
+                }
+                for r in (2..rows).step_by(4) {
+                    x[(r * steps + 1) * feat + feat - 1] = -0.0;
+                    h0[r * hidden + hidden - 1] = 0.0;
+                }
+                if rows > 4 {
+                    // Zero input and zero state: g = tanh(0) = 0 keeps c
+                    // and h exactly zero for the first two steps.
+                    x[4 * steps * feat..(4 * steps + 2) * feat].fill(0.0);
+                    h0[4 * hidden..5 * hidden].fill(0.0);
+                    c0[4 * hidden..5 * hidden].fill(0.0);
+                }
+                let mut want_h = Vec::new();
+                let mut want_c = Vec::new();
+                for r in 0..rows {
+                    let mut h = h0[r * hidden..(r + 1) * hidden].to_vec();
+                    let mut c = c0[r * hidden..(r + 1) * hidden].to_vec();
+                    for t in 0..steps {
+                        let xt = &x[(r * steps + t) * feat..(r * steps + t + 1) * feat];
+                        (h, c, _) = cell.step(xt, &h, &c);
+                    }
+                    want_h.extend(h);
+                    want_c.extend(c);
+                }
+                for kernel in [Kernel::Scalar, Kernel::Sse, Kernel::Avx2] {
+                    if !kernel.available() {
+                        continue;
+                    }
+                    let (mut h, mut c) = (h0.clone(), c0.clone());
+                    packed.forward_batch(kernel, &x, steps, &mut h, &mut c);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    let what = format!("feat={feat} hidden={hidden} rows={rows} {}", kernel.name());
+                    assert_eq!(bits(&want_h), bits(&h), "h: {what}");
+                    assert_eq!(bits(&want_c), bits(&c), "c: {what}");
+                }
+            }
         }
     }
 

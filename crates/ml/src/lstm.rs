@@ -30,7 +30,7 @@ pub struct LstmCell {
 
 /// Cached per-timestep state for backprop.
 #[derive(Debug, Clone)]
-struct StepCache {
+pub(crate) struct StepCache {
     x: Vec<f32>,
     h_prev: Vec<f32>,
     c_prev: Vec<f32>,
@@ -119,8 +119,14 @@ impl LstmCell {
         2.0 * (self.input as f64 + self.hidden as f64) * (4 * self.hidden) as f64
     }
 
-    /// One forward step; returns `(h, c)` and caches intermediates.
-    fn step(&self, x: &[f32], h_prev: &[f32], c_prev: &[f32]) -> (Vec<f32>, Vec<f32>, StepCache) {
+    /// One forward step; returns `(h, c)` and caches intermediates. The
+    /// oracle the packed batch path is checked against bit for bit.
+    pub(crate) fn step(
+        &self,
+        x: &[f32],
+        h_prev: &[f32],
+        c_prev: &[f32],
+    ) -> (Vec<f32>, Vec<f32>, StepCache) {
         assert_eq!(x.len(), self.input, "input size mismatch");
         assert_eq!(h_prev.len(), self.hidden, "hidden size mismatch");
         let hd = self.hidden;

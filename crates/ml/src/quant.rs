@@ -28,6 +28,15 @@
 //! exact: |pair sum| ≤ 2·127² = 32258 per lane, and the i32 accumulator is
 //! exact up to k ≈ 130 000.)
 //!
+//! **LSTM batching.** [`PackedQuantLstm`] runs rows in blocks of 4, like
+//! the f32 `PackedLstm`. Under AVX2 each timestep's two gate GEMMs stream
+//! the packed `Wx`/`Wh` once for the block: 4 rows × 16 columns in 8 ymm
+//! accumulators, dequantized into the gate rows straight from registers.
+//! On CPUs with AVX-512 VNNI the block is 32 columns wide and each step
+//! is one `vpdpwssd` (`vpmaddwd` + `vpaddd` fused, equally exact). The
+//! integer sums are exact and the dequantization keeps its float op
+//! order, so blocked and row-by-row gates match bit for bit.
+//!
 //! The payoff beyond FLOPs: quantized blobs are ≈ 4× smaller, so they
 //! occupy ≈ 4× fewer `ModelStore` pages under `LAKE_MODEL_BUDGET`.
 
@@ -697,7 +706,8 @@ unsafe fn qaccumulate_avx2(idx: &[u32], val: &[u32], pqm: &PackedQuantMatrix, ac
         j += 8;
     }
     if j < n {
-        qaccumulate_tail(idx, val, pqm, j, &mut acc[j..]);
+        let pairs = idx.iter().zip(val).map(|(&p, &pw)| (p as usize, pw));
+        qaccumulate_tail(pairs, pqm, j, &mut acc[j..]);
     }
 }
 
@@ -752,19 +762,25 @@ unsafe fn qaccumulate_sse(idx: &[u32], val: &[u32], pqm: &PackedQuantMatrix, acc
         j += 4;
     }
     if j < n {
-        qaccumulate_tail(idx, val, pqm, j, &mut acc[j..]);
+        let pairs = idx.iter().zip(val).map(|(&p, &pw)| (p as usize, pw));
+        qaccumulate_tail(pairs, pqm, j, &mut acc[j..]);
     }
 }
 
-/// Scalar tail over columns `j0..` shared by the SIMD kernels.
-fn qaccumulate_tail(idx: &[u32], val: &[u32], pqm: &PackedQuantMatrix, j0: usize, acc: &mut [i32]) {
-    for (&p, &pw) in idx.iter().zip(val) {
+/// Scalar tail over columns `j0..` shared by the SIMD kernels: `pairs`
+/// yields `(pair index, pair word)`, compacted or dense.
+fn qaccumulate_tail(
+    pairs: impl Iterator<Item = (usize, u32)>,
+    pqm: &PackedQuantMatrix,
+    j0: usize,
+    acc: &mut [i32],
+) {
+    for (p, pw) in pairs {
         let x0 = (pw & 0xFFFF) as u16 as i16 as i32;
         let x1 = (pw >> 16) as u16 as i16 as i32;
-        let row = pqm.row(p as usize);
-        for (j, a) in acc.iter_mut().enumerate() {
-            let c = j0 + j;
-            *a += x0 * row[2 * c] as i32 + x1 * row[2 * c + 1] as i32;
+        let row = &pqm.row(p)[2 * j0..];
+        for (a, w) in acc.iter_mut().zip(row.chunks_exact(2)) {
+            *a += x0 * w[0] as i32 + x1 * w[1] as i32;
         }
     }
 }
@@ -920,6 +936,309 @@ struct PackedQuantCell {
     b: Vec<f32>,
 }
 
+/// Gate pre-activations for a block of batch rows:
+/// `z[r][j] = b[j] + ax[r][j]·(sa[r]·sx[j]) + ah[r][j]·(sh[r]·sh[j])`,
+/// where `ax`/`ah` are the exact i32 products of row `r`'s x and h pair
+/// words with `Wx`/`Wh`. `pairs_x`/`pairs_h` hold the rows' pair words
+/// back to back, `scales[r]` their dynamic `[sa, sh]`, and `z` their gate
+/// rows, `4·hidden` floats each; `acc` is `2·4·hidden` of scratch.
+///
+/// Under AVX2 a block of 4 rows runs its 32-column prefix through
+/// [`quant_gates_rows4_avx512`] when the CPU has AVX-512 VNNI, and the
+/// next 16-column blocks through [`quant_gates_rows4_avx2`]. Everything
+/// else — 1–3 row blocks, the column tail, and the scalar and SSE
+/// kernels — accumulates row by row into `acc` and dequantizes with the
+/// scalar loop. The float ops per element are the same on every route
+/// and the integer sums are exact in any order, so every kernel gives
+/// the same bits.
+fn quant_gates(
+    kernel: Kernel,
+    cell: &PackedQuantCell,
+    pairs_x: &[u32],
+    pairs_h: &[u32],
+    scales: &[[f32; 2]],
+    acc: &mut [i32],
+    z: &mut [f32],
+) {
+    let (kpx, kph, zw) = (cell.wx.kp, cell.wh.kp, 4 * cell.hidden);
+    let done = match kernel {
+        // SAFETY: kernels are clamped to detected CPU features at every
+        // public entry, and the AVX-512 block runs only after its probe.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if scales.len() == 4 => unsafe {
+            let j0 = if avx512_vnni() {
+                quant_gates_rows4_avx512(cell, pairs_x, pairs_h, scales, z)
+            } else {
+                0
+            };
+            quant_gates_rows4_avx2(cell, pairs_x, pairs_h, scales, z, j0)
+        },
+        _ => 0,
+    };
+    if done == zw {
+        return;
+    }
+    let (ax, ah) = acc[..2 * zw].split_at_mut(zw);
+    for (r, &[sa, sh]) in scales.iter().enumerate() {
+        let (px, ph) = (&pairs_x[r * kpx..(r + 1) * kpx], &pairs_h[r * kph..(r + 1) * kph]);
+        ax.fill(0);
+        ah.fill(0);
+        if done == 0 {
+            qaccumulate(kernel, px, &cell.wx, ax);
+            qaccumulate(kernel, ph, &cell.wh, ah);
+        } else {
+            // The column tail after a 4-row block, over every word.
+            qaccumulate_tail(px.iter().copied().enumerate(), &cell.wx, done, &mut ax[done..]);
+            qaccumulate_tail(ph.iter().copied().enumerate(), &cell.wh, done, &mut ah[done..]);
+        }
+        // One fused pass: bias, plus the x term, plus the h term (slice
+        // zips keep it branch- and bounds-check-free). The SIMD blocks
+        // apply the same ops in the same order.
+        let zr = &mut z[r * zw + done..(r + 1) * zw];
+        for ((((zj, &b), &ax), &ah), (&sxj, &shj)) in zr
+            .iter_mut()
+            .zip(&cell.b[done..])
+            .zip(&ax[done..])
+            .zip(&ah[done..])
+            .zip(cell.wx_scale[done..].iter().zip(&cell.wh_scale[done..]))
+        {
+            *zj = b + ax as f32 * (sa * sxj) + ah as f32 * (sh * shj);
+        }
+    }
+}
+
+/// 4 rows × 16 columns of `Σ_p pair p · W[p][j..j + 16]` in 8 ymm i32
+/// accumulators, from zero. Each pair-row loads its two packed weight
+/// vectors once for all 4 rows, where [`qaccumulate_avx2`] reloads them
+/// for every row. Zero pair words are not skipped: they add an exact 0,
+/// and the shared loads are worth more than the skip. `pairs` holds the
+/// 4 rows' `pqm.kp` pair words back to back; returns the accumulators as
+/// `[row 0 cols 0–7, row 0 cols 8–15, row 1 …]`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `pairs` must hold `4 · pqm.kp` words and
+/// `j + 16 ≤ pqm.n()`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn qmadd_rows4(
+    pairs: &[u32],
+    pqm: &PackedQuantMatrix,
+    j: usize,
+) -> [std::arch::x86_64::__m256i; 8] {
+    use std::arch::x86_64::*;
+    let kp = pqm.kp;
+    let xp = pairs.as_ptr() as *const i32;
+    let (x0, x1, x2, x3) = (xp, xp.add(kp), xp.add(2 * kp), xp.add(3 * kp));
+    let bbase = pqm.data.as_ptr().add(pqm.base + 2 * j);
+    let mut c = [_mm256_setzero_si256(); 8];
+    for p in 0..kp {
+        let bp = bbase.add(p * pqm.stride);
+        let b0 = _mm256_loadu_si256(bp as *const __m256i);
+        let b1 = _mm256_loadu_si256(bp.add(16) as *const __m256i);
+        let v0 = _mm256_set1_epi32(*x0.add(p));
+        c[0] = _mm256_add_epi32(c[0], _mm256_madd_epi16(b0, v0));
+        c[1] = _mm256_add_epi32(c[1], _mm256_madd_epi16(b1, v0));
+        let v1 = _mm256_set1_epi32(*x1.add(p));
+        c[2] = _mm256_add_epi32(c[2], _mm256_madd_epi16(b0, v1));
+        c[3] = _mm256_add_epi32(c[3], _mm256_madd_epi16(b1, v1));
+        let v2 = _mm256_set1_epi32(*x2.add(p));
+        c[4] = _mm256_add_epi32(c[4], _mm256_madd_epi16(b0, v2));
+        c[5] = _mm256_add_epi32(c[5], _mm256_madd_epi16(b1, v2));
+        let v3 = _mm256_set1_epi32(*x3.add(p));
+        c[6] = _mm256_add_epi32(c[6], _mm256_madd_epi16(b0, v3));
+        c[7] = _mm256_add_epi32(c[7], _mm256_madd_epi16(b1, v3));
+    }
+    c
+}
+
+/// AVX2 4-row gate block for [`quant_gates`]: for each 16-column block,
+/// [`qmadd_rows4`] over `Wx` and the x half of the dequantization
+/// (`b + ax·(sa·sx)`, stored to `z`), then [`qmadd_rows4`] over `Wh` and
+/// the h half (`z + ah·(sh·sh)`). The accumulators never leave registers,
+/// and each z element sees the scalar loop's float ops in its order
+/// (`cvtdq2ps` rounds to nearest like `as f32`). Starts at column `j0`
+/// (a multiple of 16 that [`quant_gates_rows4_avx512`] stopped at) and
+/// returns how many leading columns are done: `4·hidden` rounded down to
+/// a multiple of 16.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Shapes are checked here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quant_gates_rows4_avx2(
+    cell: &PackedQuantCell,
+    pairs_x: &[u32],
+    pairs_h: &[u32],
+    scales: &[[f32; 2]],
+    z: &mut [f32],
+    j0: usize,
+) -> usize {
+    use std::arch::x86_64::*;
+    let zw = 4 * cell.hidden;
+    assert_gate_block_shape(cell, pairs_x, pairs_h, scales, z);
+    let zp = z.as_mut_ptr();
+    let mut j = j0;
+    while j + 16 <= zw {
+        let acc = qmadd_rows4(pairs_x, &cell.wx, j);
+        let b =
+            [_mm256_loadu_ps(cell.b.as_ptr().add(j)), _mm256_loadu_ps(cell.b.as_ptr().add(j + 8))];
+        let s = [
+            _mm256_loadu_ps(cell.wx_scale.as_ptr().add(j)),
+            _mm256_loadu_ps(cell.wx_scale.as_ptr().add(j + 8)),
+        ];
+        for (i, &a) in acc.iter().enumerate() {
+            let (r, half) = (i / 2, i % 2);
+            let scale = _mm256_mul_ps(_mm256_set1_ps(scales[r][0]), s[half]);
+            let v = _mm256_add_ps(b[half], _mm256_mul_ps(_mm256_cvtepi32_ps(a), scale));
+            _mm256_storeu_ps(zp.add(r * zw + j + 8 * half), v);
+        }
+        let acc = qmadd_rows4(pairs_h, &cell.wh, j);
+        let s = [
+            _mm256_loadu_ps(cell.wh_scale.as_ptr().add(j)),
+            _mm256_loadu_ps(cell.wh_scale.as_ptr().add(j + 8)),
+        ];
+        for (i, &a) in acc.iter().enumerate() {
+            let (r, half) = (i / 2, i % 2);
+            let zo = zp.add(r * zw + j + 8 * half);
+            let scale = _mm256_mul_ps(_mm256_set1_ps(scales[r][1]), s[half]);
+            let v = _mm256_add_ps(_mm256_loadu_ps(zo), _mm256_mul_ps(_mm256_cvtepi32_ps(a), scale));
+            _mm256_storeu_ps(zo, v);
+        }
+        j += 16;
+    }
+    j
+}
+
+/// Panics unless the buffers fit a 4-row gate block of `cell`: the SIMD
+/// blocks index them through raw pointers.
+fn assert_gate_block_shape(
+    cell: &PackedQuantCell,
+    pairs_x: &[u32],
+    pairs_h: &[u32],
+    scales: &[[f32; 2]],
+    z: &[f32],
+) {
+    let zw = 4 * cell.hidden;
+    assert!(
+        scales.len() == 4
+            && pairs_x.len() == 4 * cell.wx.kp
+            && pairs_h.len() == 4 * cell.wh.kp
+            && z.len() == 4 * zw
+            && cell.wx.n == zw
+            && cell.wh.n == zw
+            && [&cell.b, &cell.wx_scale, &cell.wh_scale].iter().all(|v| v.len() == zw),
+        "4-row gate block shape mismatch"
+    );
+}
+
+/// Whether the CPU (and OS) run AVX-512F with AVX-512 VNNI. The int8
+/// 4-row gate block then works 32 columns wide with `vpdpwssd`, which
+/// fuses `vpmaddwd` and `vpaddd` into one exact instruction. std caches
+/// the probe, so a call is two atomic loads.
+#[cfg(target_arch = "x86_64")]
+fn avx512_vnni() -> bool {
+    std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512vnni")
+}
+
+/// [`qmadd_rows4`] 32 columns wide: 4 rows × 32 columns in 8 zmm i32
+/// accumulators, each step one `vpdpwssd` (`acc += lo·lo + hi·hi`, exact
+/// and wrapping like `vpmaddwd` + `vpaddd`).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512 VNNI, `pairs` must hold
+/// `4 · pqm.kp` words and `j + 32 ≤ pqm.n()`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn qdot_rows4_avx512(
+    pairs: &[u32],
+    pqm: &PackedQuantMatrix,
+    j: usize,
+) -> [std::arch::x86_64::__m512i; 8] {
+    use std::arch::x86_64::*;
+    let kp = pqm.kp;
+    let xp = pairs.as_ptr() as *const i32;
+    let (x0, x1, x2, x3) = (xp, xp.add(kp), xp.add(2 * kp), xp.add(3 * kp));
+    let bbase = pqm.data.as_ptr().add(pqm.base + 2 * j);
+    let mut c = [_mm512_setzero_si512(); 8];
+    for p in 0..kp {
+        let bp = bbase.add(p * pqm.stride);
+        let b0 = _mm512_loadu_si512(bp as *const __m512i);
+        let b1 = _mm512_loadu_si512(bp.add(32) as *const __m512i);
+        let v0 = _mm512_set1_epi32(*x0.add(p));
+        c[0] = _mm512_dpwssd_epi32(c[0], b0, v0);
+        c[1] = _mm512_dpwssd_epi32(c[1], b1, v0);
+        let v1 = _mm512_set1_epi32(*x1.add(p));
+        c[2] = _mm512_dpwssd_epi32(c[2], b0, v1);
+        c[3] = _mm512_dpwssd_epi32(c[3], b1, v1);
+        let v2 = _mm512_set1_epi32(*x2.add(p));
+        c[4] = _mm512_dpwssd_epi32(c[4], b0, v2);
+        c[5] = _mm512_dpwssd_epi32(c[5], b1, v2);
+        let v3 = _mm512_set1_epi32(*x3.add(p));
+        c[6] = _mm512_dpwssd_epi32(c[6], b0, v3);
+        c[7] = _mm512_dpwssd_epi32(c[7], b1, v3);
+    }
+    c
+}
+
+/// [`quant_gates_rows4_avx2`] 32 columns wide through
+/// [`qdot_rows4_avx512`], with the same dequantization ops 16 lanes wide.
+/// Returns how many leading columns were done: `4·hidden` rounded down to
+/// a multiple of 32.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512 VNNI. Shapes are checked
+/// here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn quant_gates_rows4_avx512(
+    cell: &PackedQuantCell,
+    pairs_x: &[u32],
+    pairs_h: &[u32],
+    scales: &[[f32; 2]],
+    z: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    let zw = 4 * cell.hidden;
+    assert_gate_block_shape(cell, pairs_x, pairs_h, scales, z);
+    let zp = z.as_mut_ptr();
+    let mut j = 0;
+    while j + 32 <= zw {
+        let acc = qdot_rows4_avx512(pairs_x, &cell.wx, j);
+        let b =
+            [_mm512_loadu_ps(cell.b.as_ptr().add(j)), _mm512_loadu_ps(cell.b.as_ptr().add(j + 16))];
+        let s = [
+            _mm512_loadu_ps(cell.wx_scale.as_ptr().add(j)),
+            _mm512_loadu_ps(cell.wx_scale.as_ptr().add(j + 16)),
+        ];
+        for (i, &a) in acc.iter().enumerate() {
+            let (r, half) = (i / 2, i % 2);
+            let scale = _mm512_mul_ps(_mm512_set1_ps(scales[r][0]), s[half]);
+            let v = _mm512_add_ps(b[half], _mm512_mul_ps(_mm512_cvtepi32_ps(a), scale));
+            _mm512_storeu_ps(zp.add(r * zw + j + 16 * half), v);
+        }
+        let acc = qdot_rows4_avx512(pairs_h, &cell.wh, j);
+        let s = [
+            _mm512_loadu_ps(cell.wh_scale.as_ptr().add(j)),
+            _mm512_loadu_ps(cell.wh_scale.as_ptr().add(j + 16)),
+        ];
+        for (i, &a) in acc.iter().enumerate() {
+            let (r, half) = (i / 2, i % 2);
+            let zo = zp.add(r * zw + j + 16 * half);
+            let scale = _mm512_mul_ps(_mm512_set1_ps(scales[r][1]), s[half]);
+            let v = _mm512_add_ps(_mm512_loadu_ps(zo), _mm512_mul_ps(_mm512_cvtepi32_ps(a), scale));
+            _mm512_storeu_ps(zo, v);
+        }
+        j += 32;
+    }
+    j
+}
+
 /// A [`QuantizedLstm`] in packed inference form (f32 head).
 #[derive(Debug)]
 pub struct PackedQuantLstm {
@@ -952,9 +1271,12 @@ impl PackedQuantLstm {
         self.cells[0].input
     }
 
-    /// Classes for a row range, one row at a time (the quantized gate GEMM
-    /// re-quantizes `x` and `h` per timestep, so there is no batched
-    /// weight-streaming variant to amortize).
+    /// Classes for a row range, 4 rows at a time. Each block runs all its
+    /// layers and timesteps before the next block starts; every timestep
+    /// re-quantizes each row's `x` and `h` with that row's own dynamic
+    /// scales, then [`quant_gates`] builds the block's gate rows, streaming
+    /// the packed weights once for all 4 rows under AVX2. The integer sums
+    /// are exact, so the classes do not depend on the blocking.
     fn classify_rows(
         &self,
         kernel: Kernel,
@@ -964,67 +1286,56 @@ impl PackedQuantLstm {
         rows: Range<usize>,
         out: &mut [usize],
     ) {
+        const BLOCK: usize = 4;
         let feat = cols / steps;
         let top_hidden = self.cells.last().expect("non-empty lstm").hidden;
         let max_hidden = self.cells.iter().map(|c| c.hidden).max().expect("non-empty lstm");
         let max_width = feat.max(max_hidden);
-        let mut cur = vec![0.0f32; steps * max_width];
-        let mut next = vec![0.0f32; steps * max_width];
-        let mut h = vec![0.0f32; max_hidden];
-        let mut c = vec![0.0f32; max_hidden];
-        let mut z = vec![0.0f32; 4 * max_hidden];
-        let mut pairs = vec![0u32; max_width.div_ceil(2)];
-        let mut accx = vec![0i32; 4 * max_hidden];
-        let mut acch = vec![0i32; 4 * max_hidden];
+        // Row r of a block keeps its per-timestep layer inputs at
+        // cur[r * steps * width..], its state at h/c[r * hidden..], its
+        // pair words at pairs_*[r * kp..] and its gates at z[r * 4 * hidden..].
+        let mut cur = vec![0.0f32; BLOCK * steps * max_width];
+        let mut next = vec![0.0f32; BLOCK * steps * max_width];
+        let mut h = vec![0.0f32; BLOCK * max_hidden];
+        let mut c = vec![0.0f32; BLOCK * max_hidden];
+        let mut z = vec![0.0f32; BLOCK * 4 * max_hidden];
+        let mut acc = vec![0i32; 2 * 4 * max_hidden];
+        let mut pairs_x = vec![0u32; BLOCK * max_width.div_ceil(2)];
+        let mut pairs_h = vec![0u32; BLOCK * max_hidden.div_ceil(2)];
+        let mut scales = [[0.0f32; 2]; BLOCK];
         let mut logits = vec![0.0f32; self.head_b.len()];
-        for (slot, i) in out.iter_mut().zip(rows) {
-            cur[..cols].copy_from_slice(&data[i * cols..(i + 1) * cols]);
+        for (b, slots) in out.chunks_mut(BLOCK).enumerate() {
+            let nb = slots.len();
+            let first = rows.start + b * BLOCK;
+            cur[..nb * cols].copy_from_slice(&data[first * cols..(first + nb) * cols]);
             let mut width = feat;
             for cell in &self.cells {
-                let hd = cell.hidden;
-                let zw = 4 * hd;
-                h[..hd].fill(0.0);
-                c[..hd].fill(0.0);
+                let (hd, zw) = (cell.hidden, 4 * cell.hidden);
+                let (kpx, kph) = (cell.wx.kp, cell.wh.kp);
+                h[..nb * hd].fill(0.0);
+                c[..nb * hd].fill(0.0);
                 for t in 0..steps {
-                    let z = &mut z[..zw];
-                    // x contribution: quantize the timestep input, int8
-                    // GEMM in exact i32 with the dynamic x scale.
-                    let kp = cell.wx.kp;
-                    let sa =
-                        quantize_acts(kernel, &cur[t * width..(t + 1) * width], &mut pairs[..kp]);
-                    accx[..zw].fill(0);
-                    qaccumulate(kernel, &pairs[..kp], &cell.wx, &mut accx[..zw]);
-                    // h contribution: same, with the recurrent state's own
-                    // dynamic scale (h is re-quantized every step).
-                    let kp = cell.wh.kp;
-                    let sh = quantize_acts(kernel, &h[..hd], &mut pairs[..kp]);
-                    acch[..zw].fill(0);
-                    qaccumulate(kernel, &pairs[..kp], &cell.wh, &mut acch[..zw]);
-                    // Fused dequantization: one pass builds the gate
-                    // pre-activations, in the same float op order as the
-                    // separate bias + x + h passes it replaced (slice zips
-                    // keep it branch- and bounds-check-free).
-                    for ((((zj, &b), &ax), &ah), (&sxj, &shj)) in z
-                        .iter_mut()
-                        .zip(&cell.b)
-                        .zip(&accx[..zw])
-                        .zip(&acch[..zw])
-                        .zip(cell.wx_scale.iter().zip(&cell.wh_scale))
-                    {
-                        *zj = b + ax as f32 * (sa * sxj) + ah as f32 * (sh * shj);
+                    for (r, [sa, sh]) in scales[..nb].iter_mut().enumerate() {
+                        let x = &cur[(r * steps + t) * width..][..width];
+                        *sa = quantize_acts(kernel, x, &mut pairs_x[r * kpx..(r + 1) * kpx]);
+                        let hr = &h[r * hd..(r + 1) * hd];
+                        *sh = quantize_acts(kernel, hr, &mut pairs_h[r * kph..(r + 1) * kph]);
                     }
-                    lstm_gate_epilogue(kernel, z, &mut h[..hd], &mut c[..hd]);
-                    next[t * hd..(t + 1) * hd].copy_from_slice(&h[..hd]);
+                    let (px, ph) = (&pairs_x[..nb * kpx], &pairs_h[..nb * kph]);
+                    quant_gates(kernel, cell, px, ph, &scales[..nb], &mut acc, &mut z[..nb * zw]);
+                    for r in 0..nb {
+                        let (hr, cr) = (&mut h[r * hd..(r + 1) * hd], &mut c[r * hd..(r + 1) * hd]);
+                        lstm_gate_epilogue(kernel, &z[r * zw..(r + 1) * zw], hr, cr);
+                        next[(r * steps + t) * hd..][..hd].copy_from_slice(hr);
+                    }
                 }
                 std::mem::swap(&mut cur, &mut next);
                 width = hd;
             }
-            *slot = head_argmax(
-                &self.head_w,
-                &self.head_b,
-                &cur[(steps - 1) * top_hidden..steps * top_hidden],
-                &mut logits,
-            );
+            for (r, slot) in slots.iter_mut().enumerate() {
+                let last_h = &cur[(r * steps + steps - 1) * top_hidden..][..top_hidden];
+                *slot = head_argmax(&self.head_w, &self.head_b, last_h, &mut logits);
+            }
         }
     }
 
@@ -1186,6 +1497,52 @@ mod tests {
             want,
             packed.classify_with(x.data(), rows, steps * feat, steps, Some(&pool), Kernel::Scalar)
         );
+    }
+
+    /// The 4-row gate blocks (32-column AVX-512 VNNI where the CPU has
+    /// it, 16-column AVX2) and the row-by-row route give bit-identical
+    /// gate rows under every kernel. Gate widths `4·hidden` = 12, 16, 20,
+    /// 48 and 256 put the wide blocks next to 16-column blocks and column
+    /// tails; blocks of 1–3 rows take the row-by-row route; zero pair
+    /// words, and a row whose words are all zero, sit inside full blocks.
+    #[test]
+    fn quant_gate_blocks_match_row_by_row_bitwise() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for &(feat, hidden) in &[(1, 3), (6, 4), (7, 5), (16, 12), (16, 64)] {
+            let m = LstmClassifier::new(feat, hidden, 1, 2, &mut rng);
+            let packed = PackedQuantLstm::pack(&QuantizedLstm::quantize(&m));
+            let cell = &packed.cells[0];
+            let (kpx, kph, zw) = (cell.wx.kp, cell.wh.kp, 4 * hidden);
+            for nb in 1..=4 {
+                let mut word = |r: usize| {
+                    if r == 2 || rng.gen_bool(0.2) {
+                        return 0;
+                    }
+                    let lo = rng.gen_range(-127i16..128) as u16 as u32;
+                    let hi = rng.gen_range(-127i16..128) as u16 as u32;
+                    lo | (hi << 16)
+                };
+                let pairs_x: Vec<u32> = (0..nb * kpx).map(|i| word(i / kpx)).collect();
+                let pairs_h: Vec<u32> = (0..nb * kph).map(|i| word(i / kph)).collect();
+                let scales: Vec<[f32; 2]> = (0..nb)
+                    .map(|_| [rng.gen_range(1e-3..1.0f32), rng.gen_range(1e-3..1.0f32)])
+                    .collect();
+                let gates = |kernel: Kernel| {
+                    let mut acc = vec![0i32; 2 * zw];
+                    let mut z = vec![0.0f32; nb * zw];
+                    quant_gates(kernel, cell, &pairs_x, &pairs_h, &scales, &mut acc, &mut z);
+                    z.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let want = gates(Kernel::Scalar);
+                for kernel in [Kernel::Sse, Kernel::Avx2] {
+                    if kernel.available() {
+                        let what =
+                            format!("feat={feat} hidden={hidden} rows={nb} {}", kernel.name());
+                        assert_eq!(want, gates(kernel), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

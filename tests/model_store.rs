@@ -220,6 +220,34 @@ fn crash_inside_swap_window_replays_one_winning_version() {
     assert!(store.swaps_retired >= 1, "the retried swap retired v1: {store:?}");
 }
 
+/// Device weight memory tracks the resident models, not every version
+/// ever installed: 100 hot-swaps leave every pool device's `memory_used`
+/// exactly where the first load put it, and unloading returns it to the
+/// pre-load level.
+#[test]
+fn hot_swaps_keep_device_weight_memory_flat() {
+    let lake = Lake::builder().num_devices(2).build();
+    let ml = lake.ml();
+    let used = || -> Vec<usize> {
+        (0..lake.pool().len()).map(|i| lake.pool().device(i).memory_used()).collect()
+    };
+    let before_load = used();
+    let blobs = [serialize::encode_mlp(&mlp(1)), serialize::encode_mlp(&mlp(2))];
+    let id = ml.load_model(&blobs[0]).unwrap();
+    let loaded = used();
+    assert!(loaded.iter().zip(&before_load).all(|(l, b)| l > b), "{loaded:?}");
+
+    for swap in 0..100u64 {
+        assert_eq!(ml.swap_model(id, &blobs[(swap % 2) as usize]).unwrap(), swap + 2);
+        assert_eq!(used(), loaded, "device memory grew by swap {}", swap + 1);
+    }
+    assert_eq!(ml.infer_mlp(id, 1, COLS, &row(3)).unwrap().len(), 1);
+    assert_eq!(used(), loaded);
+
+    ml.unload_model(id).unwrap();
+    assert_eq!(used(), before_load, "unload frees the weight buffers");
+}
+
 const LSTM_FEATS: usize = 2;
 const LSTM_STEPS: usize = 3;
 
